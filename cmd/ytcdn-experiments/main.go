@@ -56,8 +56,6 @@ func main() {
 		"sharding unit: vp (whole vantage points) or subnet (sub-VP buckets, spreads one heavy network across engines)")
 	syncWindow := flag.Duration("sync-window", 0,
 		"shard lockstep window (0 = exact k-way merge, bit-identical to sequential; >0 = concurrent with bounded load staleness)")
-	optimistic := flag.Duration("optimistic", 0,
-		"optimistic (Time Warp) window: shards speculate concurrently and roll back on causality violations; bit-identical to sequential (requires -sim-shards > 1, excludes -sync-window)")
 	obsFlags := obscli.Register()
 	flag.Parse()
 
@@ -67,16 +65,15 @@ func main() {
 	}
 
 	opts := ytcdn.Options{
-		Scale:            *scale,
-		Span:             time.Duration(*days) * 24 * time.Hour,
-		Seed:             *seed,
-		Parallelism:      *parallelism,
-		SimShards:        *simShards,
-		ShardBy:          ytcdn.ShardBy(*shardBy),
-		SyncWindow:       *syncWindow,
-		OptimisticWindow: *optimistic,
-		Metrics:          session.Registry(),
-		Profiler:         session.Profiler(),
+		Scale:       *scale,
+		Span:        time.Duration(*days) * 24 * time.Hour,
+		Seed:        *seed,
+		Parallelism: *parallelism,
+		SimShards:   *simShards,
+		ShardBy:     ytcdn.ShardBy(*shardBy),
+		SyncWindow:  *syncWindow,
+		Metrics:     session.Registry(),
+		Profiler:    session.Profiler(),
 	}
 	if *storeDir != "" {
 		opts.Store = &ytcdn.StoreOptions{Dir: *storeDir, SegmentRecords: *segment}
@@ -91,7 +88,6 @@ func main() {
 		"sim_shards":  strconv.Itoa(*simShards),
 		"shard_by":    *shardBy,
 		"sync_window": syncWindow.String(),
-		"optimistic":  optimistic.String(),
 		"parallelism": strconv.Itoa(*parallelism),
 	}
 

@@ -44,8 +44,6 @@ func main() {
 		"sharding unit: vp (whole vantage points) or subnet (sub-VP buckets, spreads one heavy network across engines)")
 	syncWindow := flag.Duration("sync-window", 0,
 		"shard lockstep window (0 = exact k-way merge, bit-identical to sequential; >0 = concurrent with bounded load staleness)")
-	optimistic := flag.Duration("optimistic", 0,
-		"optimistic (Time Warp) window: shards speculate concurrently and roll back on causality violations; bit-identical to sequential (requires -sim-shards > 1, excludes -sync-window)")
 	obsFlags := obscli.Register()
 	flag.Parse()
 
@@ -69,16 +67,15 @@ func main() {
 	start := time.Now()
 	simDone := session.Phase("simulation")
 	study, err := ytcdn.Run(ytcdn.Options{
-		Scale:            *scale,
-		Span:             time.Duration(*days) * 24 * time.Hour,
-		Seed:             *seed,
-		Policy:           pol,
-		ExtraSink:        ws,
-		SimShards:        *simShards,
-		ShardBy:          ytcdn.ShardBy(*shardBy),
-		SyncWindow:       *syncWindow,
-		OptimisticWindow: *optimistic,
-		Metrics:          session.Registry(),
+		Scale:      *scale,
+		Span:       time.Duration(*days) * 24 * time.Hour,
+		Seed:       *seed,
+		Policy:     pol,
+		ExtraSink:  ws,
+		SimShards:  *simShards,
+		ShardBy:    ytcdn.ShardBy(*shardBy),
+		SyncWindow: *syncWindow,
+		Metrics:    session.Registry(),
 	})
 	simDone()
 	if err != nil {
@@ -89,10 +86,7 @@ func main() {
 	}
 
 	mode := "sequential"
-	switch {
-	case study.SimShards > 1 && *optimistic > 0:
-		mode = fmt.Sprintf("%d %s-shards, optimistic window %v", study.SimShards, *shardBy, *optimistic)
-	case study.SimShards > 1:
+	if study.SimShards > 1 {
 		mode = fmt.Sprintf("%d %s-shards, window %v", study.SimShards, *shardBy, *syncWindow)
 	}
 	// Summary lines are progress/log output: stderr, so stdout stays
@@ -122,7 +116,6 @@ func main() {
 		"sim_shards":  strconv.Itoa(study.SimShards),
 		"shard_by":    *shardBy,
 		"sync_window": syncWindow.String(),
-		"optimistic":  optimistic.String(),
 	}); err != nil {
 		log.Fatal(err)
 	}

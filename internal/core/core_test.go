@@ -424,6 +424,20 @@ func TestLoadTrackerPanicsOnNegative(t *testing.T) {
 	NewLoadTracker("test", 1).Release(0)
 }
 
+// TestLiveTrackerPanicsNegative checks that a count drained back to zero
+// still refuses to go negative: releasing a flow twice is a bookkeeping bug.
+func TestLiveTrackerPanicsNegative(t *testing.T) {
+	lt := NewLoadTracker("t", 1)
+	lt.Acquire(0)
+	lt.Release(0)
+	defer func() {
+		if recover() == nil {
+			t.Error("live tracker tolerated a negative count")
+		}
+	}()
+	lt.Release(0)
+}
+
 func TestLoadConservationProperty(t *testing.T) {
 	// Any balanced sequence of Begin/End leaves all loads at zero.
 	r := newRig(t, DefaultConfig())

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -14,6 +16,42 @@ func TestRNGDeterministic(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if a.Float64() != b.Float64() {
 			t.Fatal("same seed must produce identical streams")
+		}
+	}
+}
+
+// TestRNGMatchesStdlib pins the draw-identity contract: an RNG is
+// byte-identical to a bare rand.New(rand.NewSource(seed)) across every
+// draw method, which is what keeps the trace goldens stable.
+func TestRNGMatchesStdlib(t *testing.T) {
+	g := NewRNG(42)
+	r := rand.New(rand.NewSource(42))
+	for i := 0; i < 2000; i++ {
+		switch i % 6 {
+		case 0:
+			if a, b := g.Float64(), r.Float64(); a != b {
+				t.Fatalf("draw %d: Float64 %v != %v", i, a, b)
+			}
+		case 1:
+			if a, b := g.Intn(97), r.Intn(97); a != b {
+				t.Fatalf("draw %d: Intn %d != %d", i, a, b)
+			}
+		case 2:
+			if a, b := g.Int63(), r.Int63(); a != b {
+				t.Fatalf("draw %d: Int63 %d != %d", i, a, b)
+			}
+		case 3:
+			if a, b := g.NormFloat64(), r.NormFloat64(); a != b {
+				t.Fatalf("draw %d: NormFloat64 %v != %v", i, a, b)
+			}
+		case 4:
+			if a, b := g.ExpFloat64(), r.ExpFloat64(); a != b {
+				t.Fatalf("draw %d: ExpFloat64 %v != %v", i, a, b)
+			}
+		case 5:
+			if a, b := g.Perm(7), r.Perm(7); !slices.Equal(a, b) {
+				t.Fatalf("draw %d: Perm %v != %v", i, a, b)
+			}
 		}
 	}
 }

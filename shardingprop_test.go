@@ -144,6 +144,30 @@ func TestSubVPShardByValidation(t *testing.T) {
 	}
 }
 
+// TestSyncWindowValidation rejects windows that cannot apply: a
+// negative window, or any window on a single-engine run (which would
+// otherwise be dropped silently). RunMany surfaces the same errors.
+func TestSyncWindowValidation(t *testing.T) {
+	base := Options{Scale: 0.002, Span: 24 * time.Hour}
+	for name, mutate := range map[string]func(*Options){
+		"negative window": func(o *Options) { o.SimShards = 2; o.SyncWindow = -time.Second },
+		"no shards":       func(o *Options) { o.SyncWindow = time.Minute },
+		"one shard":       func(o *Options) { o.SimShards = 1; o.SyncWindow = time.Minute },
+	} {
+		opts := base
+		mutate(&opts)
+		if _, err := Run(opts); err == nil {
+			t.Errorf("%s: Run accepted %+v", name, opts)
+		}
+	}
+
+	bad := base
+	bad.SyncWindow = time.Minute // SimShards unset
+	if _, err := RunMany([]Options{base, bad}, 1); err == nil {
+		t.Error("RunMany accepted a SyncWindow without shards")
+	}
+}
+
 // TestShardingMetamorphic is the metamorphic suite: random study
 // configurations (seed, scale, span, policy, mid-run switch) must obey
 // the sharding invariance — every window-0 sharding produces the exact
@@ -196,20 +220,6 @@ func TestShardingMetamorphic(t *testing.T) {
 			t.Fatalf("%s: %v", label, err)
 		}
 		assertStudiesIdentical(t, fmt.Sprintf("%s shards=%d by=%s", label, exact.SimShards, exact.ShardBy), s, ref)
-
-		// Exactness under speculation: an optimistic run of the same
-		// study — random shard count, granularity and window — must
-		// also be bit-identical to sequential (rollbacks included).
-		optimistic := base
-		optimistic.SimShards = 2 + meta.Intn(10)
-		optimistic.ShardBy = []ShardBy{ShardByVP, ShardBySubnet}[meta.Intn(2)]
-		optimistic.OptimisticWindow = time.Duration(2+meta.Intn(10)) * time.Hour
-		o, err := Run(optimistic)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		assertStudiesIdentical(t, fmt.Sprintf("%s optimistic shards=%d by=%s window=%v",
-			label, optimistic.SimShards, optimistic.ShardBy, optimistic.OptimisticWindow), o, ref)
 
 		// Tolerance: a windowed sub-VP run of the same study.
 		windowed := base
@@ -332,18 +342,6 @@ func TestShardMatrixCell(t *testing.T) {
 			assertStudiesIdentical(t, label, s, ref)
 		} else {
 			assertWindowedTolerance(t, label, s, ref)
-
-			// The optimistic flavour of the same cell must be exact,
-			// not merely within tolerance.
-			oopts := base
-			oopts.SimShards = shards
-			oopts.ShardBy = by
-			oopts.OptimisticWindow = window
-			o, err := Run(oopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertStudiesIdentical(t, label+" optimistic", o, ref)
 		}
 	}
 }

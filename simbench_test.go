@@ -43,6 +43,23 @@ func TestBenchArtifactSim(t *testing.T) {
 		return s.Sessions, s.TotalFlows(), time.Since(start).Seconds()
 	}
 
+	// The speedup floors below are regression gates, opt-in via
+	// BENCH_SIM_ASSERT so noisy shared runners cannot turn the
+	// measurement artifact into a flaky gate, and meaningful only with
+	// real cores to spread shards over. When either condition fails the
+	// gates are skipped — loudly, in the log and in the artifact's
+	// gate_evaluated key, never by silently passing.
+	cores := runtime.NumCPU()
+	gateEvaluated := false
+	switch {
+	case os.Getenv("BENCH_SIM_ASSERT") == "":
+		t.Logf("gate not evaluated: BENCH_SIM_ASSERT unset")
+	case cores < 4:
+		t.Logf("gate not evaluated: %d cores < 4", cores)
+	default:
+		gateEvaluated = true
+	}
+
 	seqSessions, seqFlows, seqSecs := run(base, nil)
 
 	sharded := base
@@ -53,16 +70,14 @@ func TestBenchArtifactSim(t *testing.T) {
 	if shSessions != seqSessions {
 		t.Errorf("sharded sessions = %d, sequential = %d; arrivals must match", shSessions, seqSessions)
 	}
-	// Regression floor on the speedup, opt-in via BENCH_SIM_ASSERT so
-	// noisy shared runners cannot turn the measurement artifact into a
-	// flaky gate: with real cores and the assert armed, the sharded
-	// run must beat sequential by a clear margin or something has
-	// serialized the shards. (The >= 2x acceptance bar is read off the
-	// artifact on full-size runners.)
+	// Regression floor on the speedup: with the gate evaluated, the
+	// sharded run must beat sequential by a clear margin or something
+	// has serialized the shards. (The >= 2x acceptance bar is read off
+	// the artifact on full-size runners.)
 	speedup := seqSecs / shSecs
-	t.Logf("sharded speedup = %.2fx on %d cores", speedup, runtime.NumCPU())
-	if os.Getenv("BENCH_SIM_ASSERT") != "" && runtime.NumCPU() >= 4 && speedup < 1.3 {
-		t.Errorf("sharded speedup = %.2fx on %d cores, want >= 1.3x", speedup, runtime.NumCPU())
+	t.Logf("sharded speedup = %.2fx on %d cores", speedup, cores)
+	if gateEvaluated && speedup < 1.3 {
+		t.Errorf("sharded speedup = %.2fx on %d cores, want >= 1.3x", speedup, cores)
 	}
 
 	// Single-heavy-VP workload: US-Campus carries ~20x every other
@@ -95,39 +110,18 @@ func TestBenchArtifactSim(t *testing.T) {
 		t.Errorf("heavy-VP sessions: subnet-sharded %d, vp-sharded %d; arrivals must match", subSessions, vpSessions)
 	}
 	subSpeedup := vpSecs / subSecs
-	t.Logf("heavy-VP workload: sub-VP sharding %.2fx over per-VP sharding on %d cores", subSpeedup, runtime.NumCPU())
-	if os.Getenv("BENCH_SIM_ASSERT") != "" && runtime.NumCPU() >= 4 && subSpeedup < 1.2 {
+	t.Logf("heavy-VP workload: sub-VP sharding %.2fx over per-VP sharding on %d cores", subSpeedup, cores)
+	if gateEvaluated && subSpeedup < 1.2 {
 		t.Errorf("sub-VP sharding = %.2fx over per-VP on the heavy-VP workload, want >= 1.2x", subSpeedup)
-	}
-
-	// Conservative-vs-optimistic: the same heavy-VP sub-VP sharding,
-	// but speculating in optimistic windows instead of staleness-bounded
-	// lockstep. Optimistic gives back bit-exactness (the windowed run
-	// only bounds the error), so the bar is throughput: it must not be
-	// slower than the conservative windowed run it replaces.
-	optOpts := heavyOpts
-	optOpts.SyncWindow = 0
-	optOpts.OptimisticWindow = time.Hour
-	optSessions, optFlows, optSecs := run(optOpts, heavyWorld())
-	if optSessions != subSessions {
-		t.Errorf("heavy-VP sessions: optimistic %d, windowed %d; arrivals must match", optSessions, subSessions)
-	}
-	optRate := float64(optSessions) / optSecs
-	consRate := float64(subSessions) / subSecs
-	optOverCons := optRate / consRate
-	t.Logf("heavy-VP workload: optimistic %.0f sessions/sec vs conservative-windowed %.0f (%.2fx) on %d cores",
-		optRate, consRate, optOverCons, runtime.NumCPU())
-	if os.Getenv("BENCH_SIM_ASSERT") != "" && runtime.NumCPU() >= 4 && optOverCons < 1.0 {
-		t.Errorf("optimistic sessions/sec = %.2fx of conservative-windowed, want >= 1.0x", optOverCons)
 	}
 
 	rep := report.New("sim-bench").
 		Set("workload", fmt.Sprintf("scale %.2f, %v span, seed default", base.Scale, base.Span)).
 		Set("heavy_vp_workload", "US-Campus x3 sessions, others /10 (single heavy vantage point)").
-		Set("cores", strconv.Itoa(runtime.NumCPU())).
+		Set("cores", strconv.Itoa(cores)).
+		Set("gate_evaluated", strconv.FormatBool(gateEvaluated)).
 		Set("sim_shards", strconv.Itoa(sharded.SimShards)).
-		Set("sync_window", sharded.SyncWindow.String()).
-		Set("optimistic_window", optOpts.OptimisticWindow.String())
+		Set("sync_window", sharded.SyncWindow.String())
 	series := func(prefix string, sessions, flows int, secs float64) {
 		rep.Add(prefix+".sessions", float64(sessions), "count").
 			Add(prefix+".flows", float64(flows), "count").
@@ -140,8 +134,6 @@ func TestBenchArtifactSim(t *testing.T) {
 	series("sim.heavy_vp.vp_sharded", vpSessions, vpFlows, vpSecs)
 	series("sim.heavy_vp.subvp_sharded", subSessions, subFlows, subSecs)
 	rep.Add("sim.heavy_vp.subvp_over_vp_speedup", subSpeedup, "ratio")
-	series("sim.heavy_vp.optimistic", optSessions, optFlows, optSecs)
-	rep.Add("sim.heavy_vp.optimistic_over_windowed", optOverCons, "ratio")
 	if err := rep.WriteFile(out); err != nil {
 		t.Fatal(err)
 	}
