@@ -22,9 +22,15 @@ import (
 // package).
 func buildInput(t *testing.T) Input {
 	t.Helper()
-	const seed = 7
+	return buildStudy(t, 7, 0.02)
+}
+
+// buildStudy assembles a two-day study of the paper world at the given
+// seed and scale.
+func buildStudy(t *testing.T, seed int64, scale float64) Input {
+	t.Helper()
 	span := 2 * 24 * time.Hour
-	w, err := topology.BuildPaperWorld(topology.PaperConfig{Scale: 0.02, Seed: seed})
+	w, err := topology.BuildPaperWorld(topology.PaperConfig{Scale: scale, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

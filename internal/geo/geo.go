@@ -32,21 +32,32 @@ func (p Point) Valid() bool {
 	return p.Lat >= -90 && p.Lat <= 90 && p.Lon >= -180 && p.Lon <= 180
 }
 
-// radians converts degrees to radians.
-func radians(deg float64) float64 { return deg * math.Pi / 180 }
+// Radians converts degrees to radians.
+func Radians(deg float64) float64 { return deg * math.Pi / 180 }
 
 // Distance returns the great-circle distance in kilometers between a
 // and b using the haversine formula, which is numerically stable for
 // small distances.
 func Distance(a, b Point) float64 {
-	lat1, lon1 := radians(a.Lat), radians(a.Lon)
-	lat2, lon2 := radians(b.Lat), radians(b.Lon)
+	lat1, lon1 := Radians(a.Lat), Radians(a.Lon)
+	lat2, lon2 := Radians(b.Lat), Radians(b.Lon)
 	dLat := lat2 - lat1
 	dLon := lon2 - lon1
+	return ArcKm(HaversineTerm(math.Sin(dLat/2), math.Sin(dLon/2), math.Cos(lat1), math.Cos(lat2)))
+}
 
-	sinLat := math.Sin(dLat / 2)
-	sinLon := math.Sin(dLon / 2)
-	h := sinLat*sinLat + math.Cos(lat1)*math.Cos(lat2)*sinLon*sinLon
+// HaversineTerm returns Distance's h, the haversine of the central
+// angle, from the sines of half the latitude and longitude differences
+// and the cosines of both latitudes. Callers that hoist those sines
+// and cosines out of a loop get Distance's h bit for bit.
+func HaversineTerm(sinHalfDLat, sinHalfDLon, cosLat1, cosLat2 float64) float64 {
+	return sinHalfDLat*sinHalfDLat + cosLat1*cosLat2*sinHalfDLon*sinHalfDLon
+}
+
+// ArcKm converts a haversine term h to the great-circle distance in
+// kilometers, exactly as Distance does. No h gives more than ArcKm(1),
+// half the Earth's circumference.
+func ArcKm(h float64) float64 {
 	if h > 1 {
 		h = 1
 	}
@@ -58,9 +69,9 @@ func Distance(a, b Point) float64 {
 // It is used to synthesize landmark positions around seed cities.
 func Destination(start Point, bearingDeg, distanceKm float64) Point {
 	ang := distanceKm / EarthRadiusKm // angular distance
-	brg := radians(bearingDeg)
-	lat1 := radians(start.Lat)
-	lon1 := radians(start.Lon)
+	brg := Radians(bearingDeg)
+	lat1 := Radians(start.Lat)
+	lon1 := Radians(start.Lon)
 
 	sinLat2 := math.Sin(lat1)*math.Cos(ang) + math.Cos(lat1)*math.Sin(ang)*math.Cos(brg)
 	lat2 := math.Asin(sinLat2)
@@ -76,8 +87,8 @@ func Destination(start Point, bearingDeg, distanceKm float64) Point {
 // Midpoint returns the great-circle midpoint of a and b. It is used as
 // a cheap centroid for pairs when intersecting constraint regions.
 func Midpoint(a, b Point) Point {
-	lat1, lon1 := radians(a.Lat), radians(a.Lon)
-	lat2, lon2 := radians(b.Lat), radians(b.Lon)
+	lat1, lon1 := Radians(a.Lat), Radians(a.Lon)
+	lat2, lon2 := Radians(b.Lat), Radians(b.Lon)
 	dLon := lon2 - lon1
 
 	bx := math.Cos(lat2) * math.Cos(dLon)

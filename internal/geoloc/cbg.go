@@ -45,6 +45,15 @@ const maxSlopeKmPerMs = 100.0
 type CBG struct {
 	landmarks []LandmarkInfo
 	lines     []Bestline
+	// sites holds each landmark's disc-centre terms of the haversine,
+	// computed once so Locate never recomputes them.
+	sites []site
+}
+
+// site is a landmark position in radians plus the cosine of its
+// latitude, computed exactly as geo.Distance computes them.
+type site struct {
+	latR, lonR, cosLat float64
 }
 
 // Calibrate fits each landmark's bestline from the cross-RTT matrix
@@ -53,8 +62,10 @@ func Calibrate(landmarks []LandmarkInfo, crossRTT func(i, j int) time.Duration) 
 	if len(landmarks) < 3 {
 		return nil, fmt.Errorf("geoloc: CBG needs at least 3 landmarks, got %d", len(landmarks))
 	}
-	c := &CBG{landmarks: landmarks, lines: make([]Bestline, len(landmarks))}
+	c := &CBG{landmarks: landmarks, lines: make([]Bestline, len(landmarks)), sites: make([]site, len(landmarks))}
 	for i := range landmarks {
+		latR := geo.Radians(landmarks[i].Loc.Lat)
+		c.sites[i] = site{latR: latR, lonR: geo.Radians(landmarks[i].Loc.Lon), cosLat: math.Cos(latR)}
 		pts := make([]point2, 0, len(landmarks)-1)
 		for j := range landmarks {
 			if i == j {
@@ -189,14 +200,17 @@ type Region struct {
 	Feasible bool
 }
 
+// disc is one landmark's distance constraint: the target lies within
+// radius km of landmark lm.
+type disc struct {
+	lm     int
+	radius float64
+}
+
 // Locate estimates the position of a target from its per-landmark
 // measured RTTs. Entries with non-positive RTT are skipped (landmark
 // unreachable).
 func (c *CBG) Locate(rtts []time.Duration) Region {
-	type disc struct {
-		center geo.Point
-		radius float64
-	}
 	discs := make([]disc, 0, len(rtts))
 	for i, rtt := range rtts {
 		if i >= len(c.landmarks) || rtt <= 0 {
@@ -211,7 +225,7 @@ func (c *CBG) Locate(rtts []time.Duration) Region {
 		if r < 1 {
 			r = 1
 		}
-		discs = append(discs, disc{center: c.landmarks[i].Loc, radius: r})
+		discs = append(discs, disc{lm: i, radius: r})
 	}
 	if len(discs) == 0 {
 		return Region{Feasible: false}
@@ -219,72 +233,131 @@ func (c *CBG) Locate(rtts []time.Duration) Region {
 	// Tightest discs first: they prune the grid fastest and define the
 	// search box.
 	sort.Slice(discs, func(i, j int) bool { return discs[i].radius < discs[j].radius })
-
-	inAll := func(p geo.Point, slack float64) bool {
-		for _, d := range discs {
-			if geo.Distance(p, d.center) > d.radius*slack {
-				return false
-			}
-		}
-		return true
-	}
+	center := c.landmarks[discs[0].lm].Loc
 
 	// Relaxation loop: CBG underestimation can make the intersection
 	// empty; inflate radii until points qualify.
 	for _, slack := range []float64{1.0, 1.1, 1.25, 1.5, 2.0} {
-		region, ok := gridRegion(discs[0].center, discs[0].radius*slack, func(p geo.Point) bool {
-			return inAll(p, slack)
-		})
+		region, ok := c.gridRegion(boxAround(center, discs[0].radius*slack), discs, slack)
 		if ok {
 			region.Feasible = slack == 1.0
 			return region
 		}
 	}
-	return Region{Centroid: discs[0].center, RadiusKm: discs[0].radius, Feasible: false}
+	return Region{Centroid: center, RadiusKm: discs[0].radius, Feasible: false}
 }
 
-// gridRegion grid-samples the search box around the tightest disc,
-// returning the centroid and equivalent radius of the feasible cells.
-// Two passes: a coarse pass over the disc's bounding box, then a
-// refined pass over the feasible sub-box.
-func gridRegion(center geo.Point, radius float64, feasible func(geo.Point) bool) (Region, bool) {
+// guard is the relative half-width of the band around a disc's
+// haversine threshold inside which a cell is decided by the exact
+// distance instead. Rounding in h, the threshold and the distance is
+// orders of magnitude smaller.
+const guard = 1e-9
+
+// maxArcKm is the largest distance geo.Distance returns; a disc at
+// least this wide contains every point.
+var maxArcKm = geo.ArcKm(1)
+
+// gridRegion grid-samples the search box, keeping the cells inside
+// every disc inflated by slack, and returns the centroid and
+// equivalent radius of those cells. Two passes: a coarse pass over the
+// box, then a refined pass over the feasible sub-box.
+//
+// A cell is inside a disc when geo.Distance(cell, centre) <= r*slack,
+// and every decision here is that comparison's, bit for bit, at a
+// fraction of its cost. The distance grows with the haversine term h,
+// so the test compares h against t = sin²(r*slack/2R) and computes the
+// distance only when h falls within guard of t. h itself is
+// geo.HaversineTerm over sines and cosines hoisted per row, per column
+// and per disc: the grid is separable, so a pass takes 26 cosines, then
+// at most 52 sines per disc, instead of six trig calls per cell and
+// disc.
+//
+//perf:hot
+//perf:noalloc
+func (c *CBG) gridRegion(box latLonBox, discs []disc, slack float64) (Region, bool) {
 	const n = 26
-	box := boxAround(center, radius)
 	for pass := 0; pass < 2; pass++ {
-		var latSum, lonSum float64
-		var minLat, maxLat, minLon, maxLon float64
-		count := 0
 		dLat := (box.maxLat - box.minLat) / n
 		dLon := (box.maxLon - box.minLon) / n
 		if dLat <= 0 || dLon <= 0 {
 			return Region{}, false
 		}
+		// Cell centres: row latitudes and column longitudes, in degrees
+		// and radians, and the cosine of each row's latitude.
+		var lat, latR, cosLat, lon, lonR [n]float64
+		for i := 0; i < n; i++ {
+			lat[i] = box.minLat + (float64(i)+0.5)*dLat
+			latR[i] = geo.Radians(lat[i])
+			cosLat[i] = math.Cos(latR[i])
+			lon[i] = box.minLon + (float64(i)+0.5)*dLon
+			lonR[i] = geo.Radians(lon[i])
+		}
+		// Cut the grid disc by disc; rowLeft and colLeft count each
+		// row's and column's live cells, so dead ones cost no sine.
+		var dead [n * n]bool
+		var rowLeft, colLeft [n]int
+		for i := range rowLeft {
+			rowLeft[i], colLeft[i] = n, n
+		}
+		left := n * n
+		for _, d := range discs {
+			rs := d.radius * slack
+			if rs >= maxArcKm {
+				continue
+			}
+			lo, hi := band(rs)
+			ctr := c.sites[d.lm]
+			var sinLon [n]float64
+			for j := 0; j < n; j++ {
+				if colLeft[j] > 0 {
+					sinLon[j] = math.Sin((ctr.lonR - lonR[j]) / 2)
+				}
+			}
+			for i := 0; i < n; i++ {
+				if rowLeft[i] == 0 {
+					continue
+				}
+				sinLat := math.Sin((ctr.latR - latR[i]) / 2)
+				for j := 0; j < n; j++ {
+					if dead[i*n+j] {
+						continue
+					}
+					h := geo.HaversineTerm(sinLat, sinLon[j], cosLat[i], ctr.cosLat)
+					if outside(h, lo, hi, rs) {
+						dead[i*n+j] = true
+						rowLeft[i]--
+						colLeft[j]--
+						left--
+					}
+				}
+			}
+			if left == 0 {
+				return Region{}, false
+			}
+		}
+
+		var latSum, lonSum float64
+		var minLat, maxLat, minLon, maxLon float64
+		count := 0
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				p := geo.Point{
-					Lat: box.minLat + (float64(i)+0.5)*dLat,
-					Lon: box.minLon + (float64(j)+0.5)*dLon,
-				}
-				if !feasible(p) {
+				if dead[i*n+j] {
 					continue
 				}
 				if count == 0 {
-					minLat, maxLat, minLon, maxLon = p.Lat, p.Lat, p.Lon, p.Lon
+					minLat, maxLat, minLon, maxLon = lat[i], lat[i], lon[j], lon[j]
 				} else {
-					minLat = math.Min(minLat, p.Lat)
-					maxLat = math.Max(maxLat, p.Lat)
-					minLon = math.Min(minLon, p.Lon)
-					maxLon = math.Max(maxLon, p.Lon)
+					minLat = math.Min(minLat, lat[i])
+					maxLat = math.Max(maxLat, lat[i])
+					minLon = math.Min(minLon, lon[j])
+					maxLon = math.Max(maxLon, lon[j])
 				}
-				latSum += p.Lat
-				lonSum += p.Lon
+				latSum += lat[i]
+				lonSum += lon[j]
 				count++
 			}
 		}
-		if count == 0 {
-			return Region{}, false
-		}
-		centroid := geo.Point{Lat: latSum / float64(count), Lon: lonSum / float64(count)}
+		centroid := geo.Point{Lat: latSum / float64(count), Lon: wrapLon(lonSum / float64(count))}
 		// Cell area in km²: lat cell × lon cell at the centroid.
 		cellKm2 := (dLat * 111.19) * (dLon * 111.19 * math.Cos(centroid.Lat*math.Pi/180))
 		area := float64(count) * math.Abs(cellKm2)
@@ -299,6 +372,46 @@ func gridRegion(center geo.Point, radius float64, feasible func(geo.Point) bool)
 		}
 	}
 	return Region{}, false
+}
+
+// band returns the guard band [lo, hi] around the haversine threshold
+// t = sin²(rs/2R) of a disc of radius rs < maxArcKm.
+func band(rs float64) (lo, hi float64) {
+	s := math.Sin(rs / (2 * geo.EarthRadiusKm))
+	t := s * s
+	return t * (1 - guard), t * (1 + guard)
+}
+
+// outside reports whether a point with haversine term h to a disc's
+// centre lies outside the disc, given the disc's radius rs and band:
+// geo.Distance's own verdict, computing the distance only inside the
+// band.
+//
+//perf:inline
+//perf:noalloc
+func outside(h, lo, hi, rs float64) bool {
+	return h > lo && (h > hi || farther(h, rs))
+}
+
+// farther is outside's exact test for h inside the band, where the
+// threshold alone cannot decide. Only cells within about 1e-9 of a
+// disc's edge get here, so it is kept out of line to keep the asin
+// off outside's inlining budget.
+//
+//go:noinline
+func farther(h, rs float64) bool { return geo.ArcKm(h) > rs }
+
+// wrapLon brings a longitude that a search box straddling the
+// antimeridian pushed past ±180° back into range. In-range values pass
+// through untouched, bits included.
+func wrapLon(lon float64) float64 {
+	for lon > 180 {
+		lon -= 360
+	}
+	for lon < -180 {
+		lon += 360
+	}
+	return lon
 }
 
 type latLonBox struct {

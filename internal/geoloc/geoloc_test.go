@@ -2,6 +2,7 @@ package geoloc
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -148,6 +149,57 @@ func TestLocateEmptyInput(t *testing.T) {
 	region = cbg.Locate(rtts)
 	if region.Feasible {
 		t.Error("all-zero RTT vector cannot be feasible")
+	}
+}
+
+// TestOutsideMatchesDistance holds the threshold test to
+// geo.Distance's verdict where the two can disagree: radii equal to the
+// exact distance and its float neighbours put h inside the guard band,
+// where the exact fallback decides. Pairs include near-antipodal ones,
+// whose thresholds sit next to 1.
+func TestOutsideMatchesDistance(t *testing.T) {
+	g := rand.New(rand.NewSource(5))
+	point := func() geo.Point {
+		return geo.Point{Lat: math.Asin(2*g.Float64()-1) * 180 / math.Pi, Lon: 360*g.Float64() - 180}
+	}
+	inBand := 0
+	for k := 0; k < 20000; k++ {
+		p, c := point(), point()
+		if k%4 == 0 { // near-antipodal
+			c = geo.Point{Lat: -p.Lat + g.Float64() - 0.5, Lon: p.Lon + 180 + g.Float64() - 0.5}
+		}
+		d := geo.Distance(p, c)
+		latP, latC := geo.Radians(p.Lat), geo.Radians(c.Lat)
+		h := geo.HaversineTerm(math.Sin((latC-latP)/2), math.Sin((geo.Radians(c.Lon)-geo.Radians(p.Lon))/2),
+			math.Cos(latP), math.Cos(latC))
+		for _, rs := range []float64{
+			math.Nextafter(d, 0), d, math.Nextafter(d, math.Inf(1)),
+			d * (1 - 1e-8), d * (1 + 1e-8), 1 + g.Float64()*(maxArcKm-1),
+		} {
+			if rs >= maxArcKm {
+				continue
+			}
+			lo, hi := band(rs)
+			if got, want := outside(h, lo, hi, rs), d > rs; got != want {
+				t.Fatalf("p=%v c=%v rs=%v: outside=%t, Distance %v > rs is %t", p, c, rs, got, d, want)
+			}
+			if h > lo && h <= hi {
+				inBand++
+			}
+		}
+	}
+	if inBand == 0 {
+		t.Fatal("no case reached the guard band")
+	}
+}
+
+func TestWrapLon(t *testing.T) {
+	for _, tc := range []struct{ in, want float64 }{
+		{180, 180}, {-180, -180}, {179.99, 179.99}, {180.94, 180.94 - 360}, {-181, 179}, {725, 5}, {-545, 175},
+	} {
+		if got := wrapLon(tc.in); got != tc.want {
+			t.Errorf("wrapLon(%v) = %v, want %v", tc.in, got, tc.want)
+		}
 	}
 }
 
